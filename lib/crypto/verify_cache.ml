@@ -117,7 +117,7 @@ type t = {
 (* The digest memo's FIFO window only has to cover content still in
    flight (a few pipelined batches); a huge budget would just pin dead
    operations on the major heap for the GC to trace. *)
-let create ?(capacity = 4096) ?(digest_budget = 8 * 1024 * 1024) keystore =
+let create ?(capacity = 1024) ?(digest_budget = 8 * 1024 * 1024) keystore =
   incr c_instances;
   {
     keystore;

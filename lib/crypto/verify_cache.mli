@@ -21,10 +21,15 @@ type t
 
 val create : ?capacity:int -> ?digest_budget:int -> Signer.t -> t
 (** [capacity] bounds the verdict table (entries, FIFO-evicted; default
-    4096). [digest_budget] bounds the digest memo by the bytes of content
-    it keeps alive (default 8 MiB — enough for the operations still in
-    flight; a bigger window would mostly pin dead content on the major
-    heap). *)
+    1024). Each entry pins the message it verified, so the window is
+    sized to the work in flight, not to history: in the repository
+    benchmark (seed 3101) cutting it from 4096 to 1024 left the verdict
+    hit ratio at 5.1% on local-commit and moved it from 30.5% to 29.4%
+    on paxos-replicate, while paxos-replicate's peak heap fell from
+    46.2 to 33.1 MB. [digest_budget] bounds the digest memo by the bytes
+    of content it keeps alive (default 8 MiB — enough for the operations
+    still in flight; a bigger window would mostly pin dead content on
+    the major heap). *)
 
 val keystore : t -> Signer.t
 

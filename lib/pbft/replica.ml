@@ -131,6 +131,7 @@ let occupancy_samples t = t.occ_samples
 let open_slot_count t = Int_map.cardinal t.slots
 let archive_size t = Hashtbl.length t.archive
 let queue_depth t = Queue.length t.queue
+let armed_request_timers t = Hashtbl.length t.timers
 
 type batch_stats = {
   batches_cut : int;
@@ -289,6 +290,27 @@ let cancel_request_timer t key =
       Engine.cancel timer;
       Hashtbl.remove t.timers (timer_key key)
   | None -> ()
+
+(* Resolve a request the replica stops waiting for without executing it:
+   one its verification routine screens out, at receipt or at the batch
+   cut. It can never commit here, so its timer is disarmed (otherwise it
+   would fire and suspect a primary that did nothing wrong) and the client
+   is told at once. The client waits for f+1 of these replies, so up to f
+   liars cannot fake a rejection. *)
+let reject_request t (r : Msg.request) =
+  cancel_request_timer t (request_key r);
+  let body =
+    Msg.Reply
+      {
+        view = t.view;
+        ts = r.Msg.ts;
+        client = r.Msg.client;
+        replica = t.id;
+        result = "__rejected";
+      }
+  in
+  Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg)
+    (Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body)
 
 let matching_prepares s =
   match s.digest with
@@ -650,17 +672,16 @@ and try_execute t =
         if horizon > 0 then Hashtbl.remove t.archive horizon;
         List.iter
           (fun r ->
-            (* Pipelined mode re-verifies at execution: the commit-time
-               verdict may have been cast against a stale state (or
-               force-granted once final, see check_prepared). Every honest
-               replica evaluates this at the identical sequential state,
-               so the downgrade to a no-op rejection is unanimous. *)
+            (* Re-verify at execution, at every depth: the commit-time
+               verdict judged the whole batch against the pre-batch state
+               (two copies of one [Recv] in a batch both pass it), and with
+               a pipeline it may be stale or force-granted once final (see
+               check_prepared). Every honest replica evaluates this at the
+               identical sequential state, so the downgrade to a no-op
+               rejection is unanimous. *)
             let result =
-              if
-                t.cfg.Config.max_in_flight > 1
-                && not (t.verifier ~kind:r.Msg.kind ~op:r.Msg.op)
-              then "__rejected"
-              else t.execute ~seq:s.seq r
+              if t.verifier ~kind:r.Msg.kind ~op:r.Msg.op then t.execute ~seq:s.seq r
+              else "__rejected"
             in
             cancel_request_timer t (request_key r);
             send_reply t r result)
@@ -761,17 +782,22 @@ and try_form_batch t =
       t.cut_forced <- false;
       let batch = ref [] in
       let blen = ref 0 in
+      let screened = ref [] in
       (* Batch length tracked alongside the list: [List.length !batch] in
          the loop guard made each cut O(batch^2). *)
       while (not (Queue.is_empty t.queue)) && !blen < t.cfg.Config.batch_max do
         let r = Queue.pop t.queue in
         Hashtbl.remove t.queued_keys (timer_key (request_key r));
-        (* Pre-screen with the verification routine; invalid requests are
-           dropped here (an honest primary never proposes them). *)
+        (* Pre-screen with the verification routine; an honest primary
+           never proposes an invalid request. A request valid when it was
+           queued can turn invalid by the cut (a unit's nodes each submit
+           a copy of the same [Recv]; once one executes, the others fail
+           the sequence check), so it must be answered like any other. *)
         if t.verifier ~kind:r.Msg.kind ~op:r.Msg.op then begin
           batch := r :: !batch;
           incr blen
         end
+        else screened := r :: !screened
       done;
       let batch = List.rev !batch in
       if not (List.is_empty batch) then begin
@@ -789,7 +815,10 @@ and try_form_batch t =
         (* The primary's pre-prepare stands in for its prepare: backups
            count it via the digest; the primary collects 2f backup prepares
            like everyone else. *)
-      end
+      end;
+      (* Rejections go out behind the pre-prepare, which is on the
+         critical path. *)
+      List.iter (reject_request t) (List.rev !screened)
     end
   done;
   (* Window-stall telemetry: a free pipeline slot and waiting requests,
@@ -830,20 +859,8 @@ and handle_request t ~envelope (r : Msg.request) =
     | _ when not (t.verifier ~kind:r.Msg.kind ~op:r.Msg.op) ->
         (* Pre-screen: an op the verification routine rejects can never
            commit; answer immediately instead of letting request timers
-           churn view changes. The client waits for f+1 of these, so up
-           to f liars cannot fake a rejection. *)
-        let body =
-          Msg.Reply
-            {
-              view = t.view;
-              ts = r.Msg.ts;
-              client = r.Msg.client;
-              replica = t.id;
-              result = "__rejected";
-            }
-        in
-        Bp_net.Transport.send t.transport ~dst:r.Msg.client ~tag:(reply_tag t.cfg)
-          (Msg.seal ?cache:t.cache t.cfg ~sender:(self_addr t) body)
+           churn view changes. *)
+        reject_request t r
     | _ ->
         if is_primary t && is_normal t then begin
           let qk = timer_key (request_key r) in

@@ -54,6 +54,13 @@ val create :
 val id : t -> int
 val view : t -> int
 val is_primary : t -> bool
+
+val is_normal : t -> bool
+(** [false] from the moment the replica suspects its primary (a request
+    timer fired, or f+1 peers asked for a view change) until it enters
+    the new view. {!view} only moves on entry, so a replica that suspects
+    alone stays in its old view with [is_normal] false. *)
+
 val last_executed : t -> int
 val low_watermark : t -> int
 val exec_chain : t -> string
@@ -80,6 +87,12 @@ val open_slot_count : t -> int
 
 val archive_size : t -> int
 (** Executed batches retained for state transfer (bounded GC horizon). *)
+
+val armed_request_timers : t -> int
+(** Request timers currently armed on this replica. Every request the
+    replica stops waiting for (executed, rejected at execution, or
+    screened out by the verification routine) disarms its timer, so in a
+    quiescent fault-free run this is 0. *)
 
 val queue_depth : t -> int
 (** Requests queued at this replica awaiting batch formation (only ever

@@ -1,14 +1,21 @@
-type t = { buf : Buffer.t; mutable recs : string list (* newest first *) }
+(* The records are the only copy kept, so a long log holds each payload
+   once; the framed image is rebuilt on demand by [contents], which only
+   crash-recovery paths call. *)
+type t = { mutable recs : string list; (* newest first *) mutable size : int }
 
-let create () = { buf = Buffer.create 256; recs = [] }
+let create () = { recs = []; size = 0 }
 
 let append t payload =
-  Buffer.add_string t.buf (Bp_codec.Frame.seal payload);
-  t.recs <- payload :: t.recs
+  t.recs <- payload :: t.recs;
+  t.size <- t.size + Bp_codec.Frame.overhead + String.length payload
 
-let size t = Buffer.length t.buf
-let contents t = Buffer.contents t.buf
+let size t = t.size
 let records t = List.rev t.recs
+
+let contents t =
+  let buf = Buffer.create t.size in
+  List.iter (fun p -> Buffer.add_string buf (Bp_codec.Frame.seal p)) (records t);
+  Buffer.contents buf
 
 let of_contents image =
   let t = create () in

@@ -17,7 +17,8 @@ type cluster = {
    (default), or spread one per datacenter with [geo]. *)
 let make_cluster ?(n = 4) ?(geo = false) ?faults ?(seed = 31L)
     ?(request_timeout = ms 500.0) ?(checkpoint_interval = 32) ?batch_max
-    ?watermark_window ?max_in_flight () =
+    ?watermark_window ?max_in_flight
+    ?(execute = fun _replica ~seq:_ r -> "ok:" ^ r.Msg.op) () =
   let engine = Engine.create ~seed () in
   let net = Network.create engine Topology.aws_paper ?faults () in
   let keystore = Bp_crypto.Signer.create (Bp_util.Rng.split (Engine.rng engine)) in
@@ -34,9 +35,7 @@ let make_cluster ?(n = 4) ?(geo = false) ?faults ?(seed = 31L)
   let replicas =
     Array.init n (fun i ->
         let r =
-          Replica.create transports.(i) cfg ~id:i
-            ~execute:(fun ~seq:_ r -> "ok:" ^ r.Msg.op)
-            ()
+          Replica.create transports.(i) cfg ~id:i ~execute:(execute i) ()
         in
         Replica.set_on_executed r (fun ~seq batch ->
             executed.(i) := (seq, Msg.batch_digest batch) :: !(executed.(i)));
@@ -273,6 +272,94 @@ let test_verification_routine_blocks_invalid () =
   Engine.run ~until:(Time.of_sec 5.0) c.engine;
   Alcotest.(check bool) "illegal op never commits" false !bad;
   Alcotest.(check bool) "legal op commits" true !good;
+  check_agreement c
+
+(* A verification routine over application state: each op may execute
+   once. Every replica keeps its own spent set, filled by its own
+   executions, and counts how often the upcall ran. Stop-and-wait
+   (depth 1), so a request that arrives while a slot is in flight waits
+   in the primary's queue for the next cut. *)
+let spend_once_cluster () =
+  let spent = Array.init 4 (fun _ -> Hashtbl.create 8) in
+  let runs = Array.make 4 0 in
+  let c =
+    make_cluster ~max_in_flight:1
+      ~execute:(fun i ~seq:_ r ->
+        Hashtbl.replace spent.(i) r.Msg.op ();
+        runs.(i) <- runs.(i) + 1;
+        "ok:" ^ r.Msg.op)
+      ()
+  in
+  Array.iteri
+    (fun i r ->
+      Replica.set_verifier r (fun ~kind:_ ~op -> not (Hashtbl.mem spent.(i) op)))
+    c.replicas;
+  (c, runs)
+
+(* Nobody suspected the primary and nothing is left waiting. *)
+let check_quiet c =
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int) (Printf.sprintf "replica %d still in view 0" i) 0 (Replica.view r);
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d never suspected the primary" i)
+        true (Replica.is_normal r);
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d holds no request timer" i)
+        0
+        (Replica.armed_request_timers r))
+    c.replicas
+
+(* Two clients submit the same spend-once op at once. The primary cuts
+   the first immediately and queues the second, which is valid on
+   arrival; once the first executes, the second fails the cut's
+   pre-screen. The primary must answer it and disarm its timer: a silent
+   drop let the timer fire and the primary suspect itself. Running to
+   10x the request timeout catches any timer left behind. *)
+let test_cut_screened_request_answered () =
+  let c, runs = spend_once_cluster () in
+  let a = make_client c ~dc:2 ~idx:100 and b = make_client c ~dc:2 ~idx:101 in
+  let results = ref [] in
+  let record r = results := r :: !results in
+  Client.submit a "token" ~on_result:record;
+  Client.submit b "token" ~on_result:record;
+  Engine.run ~until:(Time.scale c.cfg.Config.request_timeout 10.0) c.engine;
+  Alcotest.(check (list string))
+    "one executes, the other gets f+1 rejections" [ "__rejected"; "ok:token" ]
+    (List.sort String.compare !results);
+  Alcotest.(check int) "primary proposed it once" 1
+    (Replica.batch_stats c.replicas.(0)).Replica.ops_proposed;
+  Array.iteri
+    (fun i n -> Alcotest.(check int) (Printf.sprintf "replica %d executed once" i) 1 n)
+    runs;
+  check_quiet c;
+  check_agreement c
+
+(* Two copies of a spend-once op land in one batch at depth 1: both pass
+   the commit-time verdict, which judges the batch against the pre-batch
+   state. Execution re-verifies each request in order, so the second
+   becomes a unanimous rejection instead of executing twice. *)
+let test_batch_duplicate_rejected_at_depth_1 () =
+  let c, runs = spend_once_cluster () in
+  let z = make_client c ~dc:2 ~idx:99 in
+  let a = make_client c ~dc:2 ~idx:100 and b = make_client c ~dc:2 ~idx:101 in
+  let results = ref [] in
+  let record r = results := r :: !results in
+  (* [first] occupies the only pipeline slot, so both copies queue and
+     are cut together. *)
+  Client.submit z "first" ~on_result:ignore;
+  Client.submit a "token" ~on_result:record;
+  Client.submit b "token" ~on_result:record;
+  Engine.run ~until:(Time.scale c.cfg.Config.request_timeout 10.0) c.engine;
+  Alcotest.(check (list string))
+    "one executes, the other is rejected" [ "__rejected"; "ok:token" ]
+    (List.sort String.compare !results);
+  Alcotest.(check int) "both copies were proposed" 3
+    (Replica.batch_stats c.replicas.(0)).Replica.ops_proposed;
+  Array.iteri
+    (fun i n -> Alcotest.(check int) (Printf.sprintf "replica %d executed twice" i) 2 n)
+    runs;
+  check_quiet c;
   check_agreement c
 
 let test_equivocating_primary_no_divergence () =
@@ -613,6 +700,10 @@ let suite =
         tc "primary crash triggers view change" test_primary_crash_view_change;
         tc "view change preserves committed" test_view_change_preserves_committed;
         tc "verification routine blocks invalid ops" test_verification_routine_blocks_invalid;
+        tc "request screened out at the cut is answered"
+          test_cut_screened_request_answered;
+        tc "duplicate in one batch rejected at depth 1"
+          test_batch_duplicate_rejected_at_depth_1;
         tc "equivocating primary cannot diverge state" test_equivocating_primary_no_divergence;
         tc "checkpoint garbage collection" test_checkpoint_garbage_collection;
         tc "randomized safety under faults" test_safety_under_faults_randomized;

@@ -205,6 +205,27 @@ let qcheck_wal_recovery_prefix =
       in
       is_prefix recovered recs)
 
+(* The image is rebuilt from the records on demand; it must be exactly
+   the framed records back to back, with [size] its length, before and
+   after either kind of damage. *)
+let qcheck_wal_image_is_framed_records =
+  QCheck.Test.make ~name:"wal image = sealed records" ~count:200
+    QCheck.(
+      triple (list_of_size Gen.(0 -- 10) (string_of_size Gen.(0 -- 20))) small_nat small_nat)
+    (fun (recs, cut, flip) ->
+      let framed w =
+        String.equal (Wal.contents w)
+          (String.concat "" (List.map Bp_codec.Frame.seal (Wal.records w)))
+        && Wal.size w = String.length (Wal.contents w)
+      in
+      let w = Wal.create () in
+      List.iter (Wal.append w) recs;
+      let size = Wal.size w in
+      framed w
+      && List.equal String.equal (Wal.records w) recs
+      && framed (Wal.truncate_tail w (cut mod (size + 1)))
+      && (size = 0 || framed (Wal.corrupt_byte w (flip mod size))))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [
@@ -226,6 +247,7 @@ let suite =
         tc "total loss" test_wal_total_loss;
         tc "garbage prefix" test_wal_garbage_prefix;
         QCheck_alcotest.to_alcotest qcheck_wal_recovery_prefix;
+        QCheck_alcotest.to_alcotest qcheck_wal_image_is_framed_records;
       ] );
     ( "storage.kv",
       [
