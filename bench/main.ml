@@ -10,24 +10,17 @@
 
    Usage:
      dune exec bench/main.exe                 # everything, default scale
-     dune exec bench/main.exe -- fig7         # one experiment
-     dune exec bench/main.exe -- micro        # only the micro-benchmarks
+     dune exec bench/main.exe -- fig7 micro   # one experiment, then the micros
      dune exec bench/main.exe -- --json out.json   # also dump bp-bench/8 JSON
-     dune exec bench/main.exe -- --jobs 4     # fan experiment tasks over 4 domains
-     dune exec bench/main.exe -- -j 1         # strictly sequential (reference)
      dune exec bench/main.exe -- --json out.json --baseline base.json
                                               # also record speedup_vs_baseline
-     dune exec bench/main.exe -- --no-cache   # disable verify/digest caches
-     dune exec bench/main.exe -- --pipeline 4 # consensus pipeline depth
-     dune exec bench/main.exe -- --verify-jobs 4   # batch-crypto fan-out
-     dune exec bench/main.exe -- --cluster-send on # cluster-sending WAN path
-     dune exec bench/main.exe -- --load-rate 50000 # single saturation rate
-     dune exec bench/main.exe -- --load-trace bursty  # arrival process shape
-     dune exec bench/main.exe -- --skew 0         # uniform client skew
-     dune exec bench/main.exe -- --shards 4       # keyspace shards per world
-     dune exec bench/main.exe -- --batch-min-fill 16 --batch-hold 0.25
-                                              # adaptive batch-cut policy
+     dune exec bench/main.exe -- --help       # every flag
      BP_BENCH_SCALE=0.2 dune exec bench/main.exe   # quicker sweep
+
+   The knob flags (--pipeline, --verify-jobs, --cluster-send, --load-rate,
+   --load-trace, --skew, --shards, --batch-min-fill, --batch-hold,
+   --no-cache) and -j/--jobs are Bp_harness.Knobs's, shared with
+   blockplane-cli; a bad value is a usage error (exit 124).
 
    --jobs defaults to Domain.recommended_domain_count. Parallel runs are
    bit-identical to -j 1 in every report row (each sweep point is its own
@@ -47,7 +40,7 @@ let scale =
   | Some s -> ( try float_of_string s with _ -> 1.0)
   | None -> 1.0
 
-let run_experiment ?pool e =
+let run_experiment ?pool ~knobs e =
   Printf.printf "\n";
   (* Each experiment's wall time must not pay for its predecessors'
      garbage: the big-payload sweeps leave whole simulated worlds (and
@@ -64,7 +57,7 @@ let run_experiment ?pool e =
   (* Wall-clock is the quantity being reported here — the bench harness
      measures real elapsed time by design, not simulated time. *)
   let t0 = (Unix.gettimeofday () [@bplint.allow "R2-nondet"]) in
-  let reports = Bp_harness.Experiments.run ?pool e ~scale in
+  let reports = Bp_harness.Experiments.run ?pool ~knobs e ~scale in
   List.iter (fun r -> print_string (Bp_harness.Report.render r)) reports;
   let wall = (Unix.gettimeofday () [@bplint.allow "R2-nondet"]) -. t0 in
   Printf.printf "   (regenerated in %.1fs wall time)\n%!" wall;
@@ -82,68 +75,16 @@ let run_experiment ?pool e =
   in
   (e.Bp_harness.Experiments.id, wall, metrics, vb)
 
-let load_shape_name = function
-  | `Poisson -> "poisson"
-  | `Bursty -> "bursty"
-  | `Diurnal -> "diurnal"
-
-let run_paper_benches ?pool ~jobs ~pipeline ~verify_jobs ~cluster_send ~shards
-    ids =
-  let known = List.map (fun e -> e.Bp_harness.Experiments.id) Bp_harness.Experiments.all in
-  (match List.filter (fun id -> not (List.mem id known)) ids with
-  | [] -> ()
-  | unknown ->
-      Printf.eprintf "bench: unknown experiment%s: %s\n  (known: %s, micro)\n"
-        (if List.length unknown > 1 then "s" else "")
-        (String.concat ", " unknown) (String.concat ", " known);
-      exit 2);
+let run_paper_benches ?pool ~jobs ~knobs experiments =
   Printf.printf "=====================================================\n";
   Printf.printf "Blockplane (ICDE 2019) - evaluation reproduction\n";
   Printf.printf "scale=%.2f (set BP_BENCH_SCALE to adjust)\n" scale;
   Printf.printf "jobs=%d (--jobs N; results are identical at any N)\n" jobs;
-  Printf.printf
-    "pipeline=%d (--pipeline N; consensus depth for every world; the \
-     ablation sweeps its own)\n"
-    pipeline;
-  Printf.printf
-    "verify-jobs=%d (--verify-jobs N; batch-crypto fan-out and modeled \
-     verify parallelism; golden tables are identical at any N)\n"
-    verify_jobs;
-  Printf.printf "cache=%s (--no-cache to disable; tables are identical either way)\n"
-    (if Bp_crypto.Verify_cache.enabled () then "on" else "off");
-  Printf.printf
-    "cluster-send=%s (--cluster-send on|off; default WAN path for every \
-     world; the clustersend ablation sweeps both regardless)\n"
-    (if cluster_send then "on" else "off");
-  Printf.printf
-    "load=%s%s skew=%g (--load-trace poisson|bursty|diurnal, --load-rate N, \
-     --skew S; the saturation sweep's arrival model)\n"
-    (load_shape_name !Bp_harness.Runner.default_load_shape)
-    (match !Bp_harness.Runner.default_load_rate with
-    | Some r -> Printf.sprintf " rate=%.0f/s" r
-    | None -> "")
-    !Bp_harness.Runner.default_skew;
-  Printf.printf
-    "shards=%d (--shards N; keyspace shards for worlds without their own \
-     map, clamped to each world's participants; the shard ablation sweeps \
-     1..16 regardless)\n"
-    shards;
-  Printf.printf
-    "batch-cut=%s/%s (--batch-min-fill N, --batch-hold MS; default policy \
-     for worlds without their own; seed = cut on any signal)\n"
-    (match !Bp_harness.Runner.default_batch_min_fill with
-    | Some m -> string_of_int m
-    | None -> "-")
-    (match !Bp_harness.Runner.default_batch_hold with
-    | Some h -> Printf.sprintf "%gms" (Bp_sim.Time.to_ms h)
-    | None -> "-");
+  (* The knobs every world without its own value runs under, as they
+     appear in the JSON header; see --help for each flag. *)
+  List.iter (fun (k, v) -> Printf.printf "%s=%s\n" k v) (Bp_harness.Knobs.fields knobs);
   Printf.printf "=====================================================\n";
-  List.filter_map
-    (fun e ->
-      if ids = [] || List.mem e.Bp_harness.Experiments.id ids then
-        Some (run_experiment ?pool e)
-      else None)
-    Bp_harness.Experiments.all
+  List.map (run_experiment ?pool ~knobs) experiments
 
 (* ---------- part 2: micro-benchmarks ---------- *)
 
@@ -444,36 +385,14 @@ let sum_vb_stats stats_list : Bp_crypto.Verify_batch.stats =
     }
     stats_list
 
-let write_json path ~jobs ~pipeline ~verify_jobs ~cluster_send ~shards
-    ~baseline ~experiments ~micro =
+let write_json path ~jobs ~knobs ~baseline ~experiments ~micro =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"schema\": \"bp-bench/8\",\n";
   p "  \"scale\": %g,\n" scale;
   p "  \"jobs\": %d,\n" jobs;
-  p "  \"pipeline\": %d,\n" pipeline;
-  p "  \"verify_jobs\": %d,\n" verify_jobs;
-  p "  \"cluster_send\": %b,\n" cluster_send;
-  (* bp-bench/8: the sharding knob and the batch-cut policy defaults
-     (null = the seed's cut-on-any-signal behaviour). *)
-  p "  \"shards\": %d,\n" shards;
-  p "  \"batch\": { \"min_fill\": %s, \"hold_ms\": %s },\n"
-    (match !Bp_harness.Runner.default_batch_min_fill with
-    | Some m -> string_of_int m
-    | None -> "null")
-    (match !Bp_harness.Runner.default_batch_hold with
-    | Some h -> Printf.sprintf "%g" (Bp_sim.Time.to_ms h)
-    | None -> "null");
-  (* The load-generation knobs behind the saturation sweep; rate is null
-     when the sweep's own rate list ran. *)
-  p "  \"load\": { \"trace\": \"%s\", \"rate\": %s, \"skew\": %g },\n"
-    (load_shape_name !Bp_harness.Runner.default_load_shape)
-    (match !Bp_harness.Runner.default_load_rate with
-    | Some r -> Printf.sprintf "%g" r
-    | None -> "null")
-    !Bp_harness.Runner.default_skew;
-  p "  \"cache_enabled\": %b,\n" (Bp_crypto.Verify_cache.enabled ());
+  List.iter (fun (k, v) -> p "  \"%s\": %s,\n" k v) (Bp_harness.Knobs.fields knobs);
   (let c = Bp_crypto.Verify_cache.counters () in
    let nodes = Bp_crypto.Verify_cache.instances () in
    let per_node v = if nodes = 0 then 0.0 else float_of_int v /. float_of_int nodes in
@@ -539,197 +458,62 @@ let write_json path ~jobs ~pipeline ~verify_jobs ~cluster_send ~shards
   p "}\n";
   close_out oc
 
-let () =
-  let json_path = ref None in
-  let baseline_path = ref None in
-  let jobs = ref (Bp_parallel.Pool.default_jobs ()) in
-  let pipeline = ref 1 in
-  let verify_jobs = ref 1 in
-  let cluster_send = ref false in
-  let shards = ref 1 in
-  let batch_min_fill = ref None in
-  let batch_hold_ms = ref None in
-  let missing flag =
-    Printf.eprintf "bench: %s requires an argument\n" flag;
-    exit 2
+(* ---------- command line ---------- *)
+
+open Cmdliner
+
+(* Experiment ids, plus "micro" for the micro-benchmarks; no id at all
+   runs every experiment and then the micros. *)
+let targets_arg =
+  let ids =
+    "micro" :: List.map (fun e -> e.Bp_harness.Experiments.id) Bp_harness.Experiments.all
   in
-  let rec parse = function
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        parse rest
-    | [ "--json" ] -> missing "--json"
-    | "--baseline" :: path :: rest ->
-        baseline_path := Some path;
-        parse rest
-    | [ "--baseline" ] -> missing "--baseline"
-    | "--no-cache" :: rest ->
-        Bp_crypto.Verify_cache.set_enabled false;
-        parse rest
-    | ("--jobs" | "-j") :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" n;
-            exit 2)
-    | [ ("--jobs" | "-j") ] -> missing "--jobs"
-    | "--pipeline" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            pipeline := n;
-            parse rest
-        | _ ->
-            Printf.eprintf "bench: --pipeline expects a positive integer, got %S\n"
-              n;
-            exit 2)
-    | [ "--pipeline" ] -> missing "--pipeline"
-    | "--verify-jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            verify_jobs := n;
-            parse rest
-        | _ ->
-            Printf.eprintf
-              "bench: --verify-jobs expects a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--verify-jobs" ] -> missing "--verify-jobs"
-    | "--cluster-send" :: v :: rest -> (
-        match v with
-        | "on" -> cluster_send := true; parse rest
-        | "off" -> cluster_send := false; parse rest
-        | _ ->
-            Printf.eprintf "bench: --cluster-send expects on or off, got %S\n" v;
-            exit 2)
-    | [ "--cluster-send" ] -> missing "--cluster-send"
-    | "--load-rate" :: n :: rest -> (
-        match float_of_string_opt n with
-        | Some r when r > 0.0 ->
-            Bp_harness.Runner.set_default_load_rate (Some r);
-            parse rest
-        | _ ->
-            Printf.eprintf "bench: --load-rate expects a positive rate, got %S\n"
-              n;
-            exit 2)
-    | [ "--load-rate" ] -> missing "--load-rate"
-    | "--load-trace" :: v :: rest -> (
-        match v with
-        | "poisson" -> Bp_harness.Runner.set_default_load_shape `Poisson; parse rest
-        | "bursty" -> Bp_harness.Runner.set_default_load_shape `Bursty; parse rest
-        | "diurnal" -> Bp_harness.Runner.set_default_load_shape `Diurnal; parse rest
-        | _ ->
-            Printf.eprintf
-              "bench: --load-trace expects poisson, bursty or diurnal, got %S\n"
-              v;
-            exit 2)
-    | [ "--load-trace" ] -> missing "--load-trace"
-    | "--skew" :: n :: rest -> (
-        match float_of_string_opt n with
-        | Some s when s >= 0.0 ->
-            Bp_harness.Runner.set_default_skew s;
-            parse rest
-        | _ ->
-            Printf.eprintf "bench: --skew expects a non-negative float, got %S\n"
-              n;
-            exit 2)
-    | [ "--skew" ] -> missing "--skew"
-    | "--shards" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some s when s >= 1 ->
-            shards := s;
-            parse rest
-        | _ ->
-            Printf.eprintf "bench: --shards expects a positive integer, got %S\n"
-              n;
-            exit 2)
-    | [ "--shards" ] -> missing "--shards"
-    | "--batch-min-fill" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some m when m >= 1 ->
-            batch_min_fill := Some m;
-            parse rest
-        | _ ->
-            Printf.eprintf
-              "bench: --batch-min-fill expects a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--batch-min-fill" ] -> missing "--batch-min-fill"
-    | "--batch-hold" :: ms :: rest -> (
-        match float_of_string_opt ms with
-        | Some h when h >= 0.0 ->
-            batch_hold_ms := Some h;
-            parse rest
-        | _ ->
-            Printf.eprintf
-              "bench: --batch-hold expects a non-negative duration in ms, got \
-               %S\n"
-              ms;
-            exit 2)
-    | [ "--batch-hold" ] -> missing "--batch-hold"
-    | a :: rest -> a :: parse rest
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun id -> (id, id)) ids)) []
+    & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids to run, or $(b,micro).")
+
+let path_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
+
+let main jobs knobs json_path baseline_path targets =
+  let micro = targets = [] || List.mem "micro" targets in
+  let experiments =
+    List.filter
+      (fun e -> targets = [] || List.mem e.Bp_harness.Experiments.id targets)
+      Bp_harness.Experiments.all
+  in
+  Bp_harness.Knobs.with_runtime ~jobs knobs @@ fun pool ->
+  let experiments =
+    match experiments with
     | [] -> []
+    | es -> run_paper_benches ?pool ~jobs ~knobs es
   in
-  let args =
-    match Array.to_list Sys.argv with [] -> [] | _self :: rest -> parse rest
-  in
-  let jobs = !jobs in
-  let pipeline = !pipeline in
-  let verify_jobs = !verify_jobs in
-  let cluster_send = !cluster_send in
-  let shards = !shards in
-  (* Same pair rule Config.make enforces on every world: a min-fill
-     above 1 without a hold timer would stall batches that never reach
-     the fill target. Catch it here with a flag-level message instead of
-     an Invalid_argument from deep inside the first experiment. *)
-  (match (!batch_min_fill, !batch_hold_ms) with
-  | Some m, (None | Some 0.0) when m > 1 ->
-      Printf.eprintf
-        "bench: --batch-min-fill %d needs --batch-hold MS with MS > 0 (a \
-         batch below the fill target must have a timer to cut it)\n"
-        m;
-      exit 2
-  | _ -> ());
-  Bp_harness.Runner.set_default_pipeline pipeline;
-  Bp_harness.Runner.set_default_cluster_send cluster_send;
-  Bp_harness.Runner.set_default_shards shards;
-  Bp_harness.Runner.set_default_batch_min_fill !batch_min_fill;
-  Bp_harness.Runner.set_default_batch_hold
-    (Option.map Bp_sim.Time.of_ms !batch_hold_ms);
-  (* --verify-jobs drives both mechanisms: the modeled in-replica
-     parallelism (worlds with verify_cost enabled) and the real
-     domain-pool fan-out behind the receive paths. *)
-  Bp_harness.Runner.set_default_verify_jobs verify_jobs;
-  Bp_crypto.Verify_batch.set_default_jobs verify_jobs;
-  let pool = if jobs > 1 then Some (Bp_parallel.Pool.create ~jobs) else None in
-  let finally () =
-    Option.iter Bp_parallel.Pool.shutdown pool;
-    (* Joins the global batch-verify workers, if any were spawned. *)
-    Bp_crypto.Verify_batch.set_default_jobs 1
-  in
-  Fun.protect ~finally @@ fun () ->
-  let experiments, micro =
-    match args with
-    | [ "micro" ] -> ([], run_micro ())
-    | [] ->
-        let experiments =
-          run_paper_benches ?pool ~jobs ~pipeline ~verify_jobs ~cluster_send
-            ~shards []
-        in
-        (experiments, run_micro ())
-    | ids ->
-        ( run_paper_benches ?pool ~jobs ~pipeline ~verify_jobs ~cluster_send
-            ~shards ids,
-          [] )
-  in
-  match !json_path with
+  let micro = if micro then run_micro () else [] in
+  match json_path with
   | None -> ()
   | Some path -> (
       let baseline =
-        match !baseline_path with None -> [] | Some p -> read_baseline p
+        match baseline_path with None -> [] | Some p -> read_baseline p
       in
       try
-        write_json path ~jobs ~pipeline ~verify_jobs ~cluster_send ~shards
-          ~baseline ~experiments ~micro;
+        write_json path ~jobs ~knobs ~baseline ~experiments ~micro;
         if path <> "/dev/null" then Printf.printf "\nwrote %s\n%!" path
       with Sys_error msg ->
         Printf.eprintf "bench: cannot write JSON report: %s\n" msg;
         exit 2)
+
+let () =
+  let json = path_arg "json" "Also write the bp-bench/8 JSON report to $(docv)." in
+  let baseline =
+    path_arg "baseline" "Record speedup_vs_baseline against this earlier --json report."
+  in
+  let info =
+    Cmd.info "bench" ~doc:"Regenerate the paper's evaluation and micro-benchmarks"
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          Term.(
+            const main $ Bp_harness.Knobs.jobs $ Bp_harness.Knobs.term $ json
+            $ baseline $ targets_arg)))

@@ -1,6 +1,7 @@
 (* Command-line entry point: run any of the paper's experiments. *)
 
 open Cmdliner
+module Knobs = Bp_harness.Knobs
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -16,199 +17,6 @@ let scale_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
-let no_cache_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the per-node verification/digest caches and \
-           content-addressed signing. Every experiment table is \
-           bit-identical either way; only wall time changes.")
-
-let set_cache no_cache =
-  if no_cache then Bp_crypto.Verify_cache.set_enabled false
-
-let pipeline_arg =
-  let doc =
-    "Consensus pipeline depth: how many PBFT slots each primary keeps in \
-     flight concurrently. 1 (the default) is the stop-and-wait baseline \
-     and reproduces the pre-pipeline tables byte-for-byte; deeper values \
-     overlap successive three-phase rounds. The ablation-pipeline \
-     experiment sweeps its own depths regardless of this flag."
-  in
-  Arg.(value & opt int 1 & info [ "pipeline" ] ~docv:"DEPTH" ~doc)
-
-let set_pipeline depth =
-  if depth < 1 then (
-    Printf.eprintf "blockplane-cli: --pipeline must be at least 1, got %d\n"
-      depth;
-    exit 1);
-  Bp_harness.Runner.set_default_pipeline depth
-
-let verify_jobs_arg =
-  let doc =
-    "Verification parallelism: fans in-replica batch crypto across this \
-     many worker domains (and sets the modeled verify parallelism for \
-     worlds that charge simulated verification time). Every experiment \
-     table except the ablation-verify/ablation-pipeline cost models is \
-     bit-identical at any value; only wall time changes."
-  in
-  Arg.(value & opt int 1 & info [ "verify-jobs" ] ~docv:"N" ~doc)
-
-let set_verify_jobs jobs =
-  if jobs < 1 then (
-    Printf.eprintf "blockplane-cli: --verify-jobs must be at least 1, got %d\n"
-      jobs;
-    exit 1);
-  Bp_harness.Runner.set_default_verify_jobs jobs;
-  Bp_crypto.Verify_batch.set_default_jobs jobs
-
-let cluster_send_arg =
-  let doc =
-    "Inter-participant WAN path: $(b,off) (the default) ships fi+1 \
-     signature bundles per record, $(b,on) switches every world to \
-     expected-constant byzantine cluster-sending (chain-head probes with \
-     one signature each, receiver-side local agreement and intra-unit \
-     dispersal). The golden paper tables are recorded under $(b,off); \
-     the ablation-clustersend experiment sweeps both modes regardless."
-  in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("on", true); ("off", false) ]) false
-    & info [ "cluster-send" ] ~docv:"on|off" ~doc)
-
-let set_cluster_send b = Bp_harness.Runner.set_default_cluster_send b
-
-let load_rate_arg =
-  let doc =
-    "Probe a single open-loop offered rate (requests/s) instead of the \
-     saturation sweep's built-in rate list. Only Loadgen-driven \
-     experiments (ablation-saturation) consult it."
-  in
-  Arg.(value & opt (some float) None & info [ "load-rate" ] ~docv:"RATE" ~doc)
-
-let set_load_rate r =
-  (match r with
-  | Some r when r <= 0.0 ->
-      Printf.eprintf "blockplane-cli: --load-rate must be positive, got %g\n" r;
-      exit 1
-  | _ -> ());
-  Bp_harness.Runner.set_default_load_rate r
-
-let load_trace_arg =
-  let doc =
-    "Arrival-process shape for Loadgen-driven experiments: $(b,poisson) \
-     (the default), $(b,bursty) (Markov-modulated on/off phases) or \
-     $(b,diurnal) (a compressed day-curve rate trace). All shapes offer \
-     the same long-run rate."
-  in
-  Arg.(
-    value
-    & opt
-        (Arg.enum
-           [ ("poisson", `Poisson); ("bursty", `Bursty); ("diurnal", `Diurnal) ])
-        `Poisson
-    & info [ "load-trace" ] ~docv:"SHAPE" ~doc)
-
-let set_load_trace s = Bp_harness.Runner.set_default_load_shape s
-
-let skew_arg =
-  let doc =
-    "Zipf exponent over the modeled client population for Loadgen-driven \
-     experiments: 0 is uniform, 0.99 (the default) the classic YCSB skew."
-  in
-  Arg.(value & opt float 0.99 & info [ "skew" ] ~docv:"S" ~doc)
-
-let set_skew s =
-  if s < 0.0 then (
-    Printf.eprintf "blockplane-cli: --skew must be non-negative, got %g\n" s;
-    exit 1);
-  Bp_harness.Runner.set_default_skew s
-
-let shards_arg =
-  let doc =
-    "Keyspace shards for worlds that do not build their own shard map: \
-     each shard is an independent Blockplane unit owning a slice of the \
-     keyspace, with cross-shard transactions committed through the BFT \
-     two-phase protocol. 1 (the default) reproduces the unsharded tables \
-     byte-for-byte; the value is clamped to each world's participant \
-     count. The ablation-shard experiment sweeps 1..16 regardless."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let set_shards n =
-  if n < 1 then (
-    Printf.eprintf "blockplane-cli: --shards must be at least 1, got %d\n" n;
-    exit 1);
-  Bp_harness.Runner.set_default_shards n
-
-let batch_min_fill_arg =
-  let doc =
-    "Adaptive batch-cut fill target: a primary holds a non-empty batch \
-     open until it has at least this many requests (or the $(b,--batch-hold) \
-     timer fires). 1 (the seed behaviour) cuts on any signal. Values \
-     above 1 require a positive $(b,--batch-hold)."
-  in
-  Arg.(value & opt (some int) None & info [ "batch-min-fill" ] ~docv:"N" ~doc)
-
-let batch_hold_arg =
-  let doc =
-    "Adaptive batch-cut hold timer in milliseconds: the longest a \
-     non-empty batch below the fill target waits before being cut anyway. \
-     Bounds the latency cost of $(b,--batch-min-fill)."
-  in
-  Arg.(value & opt (some float) None & info [ "batch-hold" ] ~docv:"MS" ~doc)
-
-let set_batch min_fill hold_ms =
-  (match min_fill with
-  | Some m when m < 1 ->
-      Printf.eprintf "blockplane-cli: --batch-min-fill must be at least 1, got %d\n" m;
-      exit 1
-  | _ -> ());
-  (match hold_ms with
-  | Some h when h < 0.0 ->
-      Printf.eprintf "blockplane-cli: --batch-hold must be non-negative, got %g\n" h;
-      exit 1
-  | _ -> ());
-  (* The pair rule Config.make enforces per world, surfaced as a flag
-     error: a fill target above 1 with no timer would stall batches that
-     never reach it. *)
-  (match (min_fill, hold_ms) with
-  | Some m, (None | Some 0.0) when m > 1 ->
-      Printf.eprintf
-        "blockplane-cli: --batch-min-fill %d needs --batch-hold MS with MS > 0\n"
-        m;
-      exit 1
-  | _ -> ());
-  Bp_harness.Runner.set_default_batch_min_fill min_fill;
-  Bp_harness.Runner.set_default_batch_hold (Option.map Bp_sim.Time.of_ms hold_ms)
-
-let jobs_arg =
-  let doc =
-    "Number of worker domains to fan independent simulation tasks across. \
-     Results are bit-identical at any job count; only wall time changes. \
-     Defaults to the number of cores; 1 runs everything inline."
-  in
-  Arg.(
-    value
-    & opt int (Bp_parallel.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-(* Build a pool for [jobs], run [f] and always shut the pool down, so CLI
-   exits never leave worker domains blocked on the work queue. The global
-   batch-verify workers (--verify-jobs > 1) are joined the same way. *)
-let with_pool jobs f =
-  if jobs < 1 then (
-    Printf.eprintf "blockplane-cli: --jobs must be at least 1, got %d\n" jobs;
-    exit 1);
-  let pool = if jobs > 1 then Some (Bp_parallel.Pool.create ~jobs) else None in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Bp_parallel.Pool.shutdown pool;
-      Bp_crypto.Verify_batch.set_default_jobs 1)
-    (fun () -> f pool)
-
 let list_cmd =
   let run () =
     List.iter
@@ -220,27 +28,16 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available experiments")
     Term.(const run $ const ())
 
-let run_experiment id scale jobs verbose no_cache pipeline verify_jobs
-    cluster_send load_rate load_trace skew shards batch_min_fill batch_hold =
+(* Run [experiments] under one knob set, printing every report. *)
+let run_experiments experiments scale jobs verbose knobs =
   setup_logs verbose;
-  set_cache no_cache;
-  set_pipeline pipeline;
-  set_verify_jobs verify_jobs;
-  set_cluster_send cluster_send;
-  set_load_rate load_rate;
-  set_load_trace load_trace;
-  set_skew skew;
-  set_shards shards;
-  set_batch batch_min_fill batch_hold;
-  match Bp_harness.Experiments.find id with
-  | None ->
-      Printf.eprintf "unknown experiment %S; try `blockplane-cli list`\n" id;
-      exit 1
-  | Some e ->
-      with_pool jobs (fun pool ->
+  Knobs.with_runtime ~jobs knobs (fun pool ->
+      List.iter
+        (fun e ->
           List.iter
             (fun r -> print_string (Bp_harness.Report.render r))
-            (Bp_harness.Experiments.run ?pool e ~scale))
+            (Bp_harness.Experiments.run ?pool ~knobs e ~scale))
+        experiments)
 
 let run_cmd =
   let id_arg =
@@ -249,42 +46,24 @@ let run_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see `list`).")
   in
+  (* Fully applied, so every flag is converted and validated first. *)
+  let run id scale jobs verbose knobs =
+    match Bp_harness.Experiments.find id with
+    | None ->
+        Printf.eprintf "unknown experiment %S; try `blockplane-cli list`\n" id;
+        exit 1
+    | Some e -> run_experiments [ e ] scale jobs verbose knobs
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment and print its paper-vs-measured table")
-    Term.(
-      const run_experiment $ id_arg $ scale_arg $ jobs_arg $ verbose_arg
-      $ no_cache_arg $ pipeline_arg $ verify_jobs_arg $ cluster_send_arg
-      $ load_rate_arg $ load_trace_arg $ skew_arg $ shards_arg
-      $ batch_min_fill_arg $ batch_hold_arg)
+    Term.(const run $ id_arg $ scale_arg $ Knobs.jobs $ verbose_arg $ Knobs.term)
 
 let all_cmd =
-  let run scale jobs verbose no_cache pipeline verify_jobs cluster_send
-      load_rate load_trace skew shards batch_min_fill batch_hold =
-    setup_logs verbose;
-    set_cache no_cache;
-    set_pipeline pipeline;
-    set_verify_jobs verify_jobs;
-    set_cluster_send cluster_send;
-    set_load_rate load_rate;
-    set_load_trace load_trace;
-    set_skew skew;
-    set_shards shards;
-    set_batch batch_min_fill batch_hold;
-    with_pool jobs (fun pool ->
-        List.iter
-          (fun e ->
-            List.iter
-              (fun r -> print_string (Bp_harness.Report.render r))
-              (Bp_harness.Experiments.run ?pool e ~scale))
-          Bp_harness.Experiments.all)
-  in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every table and figure of the evaluation")
     Term.(
-      const run $ scale_arg $ jobs_arg $ verbose_arg $ no_cache_arg
-      $ pipeline_arg $ verify_jobs_arg $ cluster_send_arg $ load_rate_arg
-      $ load_trace_arg $ skew_arg $ shards_arg $ batch_min_fill_arg
-      $ batch_hold_arg)
+      const (run_experiments Bp_harness.Experiments.all)
+      $ scale_arg $ Knobs.jobs $ verbose_arg $ Knobs.term)
 
 let () =
   let info =

@@ -5,8 +5,8 @@ open Blockplane
 
 (* Internally sequential (three strategies share one populated world),
    so the plan is a single task. *)
-let reads_reports ~scale =
-  let world = Runner.fresh_world ~seed:6100L () in
+let reads_reports ~knobs ~scale =
+  let world = Runner.fresh_world ~knobs ~seed:6100L () in
   let engine = world.Runner.engine in
   let api = Deployment.api world.Runner.dep 0 in
   (* Populate a few entries first. *)
@@ -54,10 +54,12 @@ let reads_reports ~scale =
     };
   ]
 
-let reads_plan ~scale =
-  Runner.Plan { tasks = [ (fun () -> reads_reports ~scale) ]; merge = List.concat }
+let reads_plan ~knobs ~scale =
+  Runner.Plan
+    { tasks = [ (fun () -> reads_reports ~knobs ~scale) ]; merge = List.concat }
 
-let reads ?(scale = 1.0) () = Runner.run_plan (reads_plan ~scale)
+let reads ?(scale = 1.0) () =
+  Runner.run_plan (reads_plan ~knobs:Knobs.default ~scale)
 
 (* ---------- batching / group commit (§VI-C) ---------- *)
 

@@ -24,7 +24,7 @@ val load : ?scale:float -> unit -> Report.t list
     [signatures] are one task per configuration; [loss] and [load] one
     task per rate. *)
 
-val reads_plan : scale:float -> Runner.plan
+val reads_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 val batching_plan : scale:float -> Runner.plan
 val signatures_plan : scale:float -> Runner.plan
 val loss_plan : scale:float -> Runner.plan

@@ -37,8 +37,8 @@ let pairs =
     (Topology.dc_virginia, Topology.dc_ireland, "64-80", "1-7%");
   ]
 
-let measure_pair ~scale ~src ~dst ~seed =
-  let world = Runner.fresh_world ~seed () in
+let measure_pair ~knobs ~scale ~src ~dst ~seed =
+  let world = Runner.fresh_world ~knobs ~seed () in
   let api = Deployment.api world.Runner.dep src in
   let daemon = Deployment.daemon world.Runner.dep ~src ~dest:dst in
   let n = Runner.scaled scale 10 in
@@ -66,9 +66,9 @@ let measure_pair ~scale ~src ~dst ~seed =
       Api.send api ~dest:dst (Runner.payload ~size:1000 seq) ~on_done:ignore)
 
 (* One task per datacenter pair; [i] fixes the seed. *)
-let fig6_task ~scale i (src, dst, paper_lat, paper_ovh) () =
+let fig6_task ~knobs ~scale i (src, dst, paper_lat, paper_ovh) () =
   let topo = Topology.aws_paper in
-  let stats = measure_pair ~scale ~src ~dst ~seed:(Int64.of_int (3000 + i)) in
+  let stats = measure_pair ~knobs ~scale ~src ~dst ~seed:(Int64.of_int (3000 + i)) in
   let mean = Bp_util.Stats.mean stats in
   let rtt = Time.to_ms (Topology.rtt topo src dst) in
   let overhead = (mean -. rtt) /. rtt *. 100.0 in
@@ -106,11 +106,15 @@ let fig6_merge rows =
     };
   ]
 
-let fig6_plan ~scale =
+let fig6_plan ~knobs ~scale =
   Runner.Plan
-    { tasks = List.mapi (fun i p -> fig6_task ~scale i p) pairs; merge = fig6_merge }
+    {
+      tasks = List.mapi (fun i p -> fig6_task ~knobs ~scale i p) pairs;
+      merge = fig6_merge;
+    }
 
-let fig6 ?(scale = 1.0) () = Runner.run_plan (fig6_plan ~scale)
+let fig6 ?(scale = 1.0) () =
+  Runner.run_plan (fig6_plan ~knobs:Knobs.default ~scale)
 
 (* Table I is a pure topology readout — a single trivial task. *)
 let table1_plan () =

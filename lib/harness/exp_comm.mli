@@ -3,7 +3,7 @@
     [receive], and acknowledging receipt back at the source, for every
     pair of datacenters; plus the overhead relative to the raw RTT. *)
 
-val fig6_plan : scale:float -> Runner.plan
+val fig6_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per datacenter pair — 6 worlds. *)
 
 val fig6 : ?scale:float -> unit -> Report.t list

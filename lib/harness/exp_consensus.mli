@@ -2,7 +2,7 @@
     Blockplane-Paxos against plain Paxos, flat geo-PBFT and Hierarchical
     PBFT, with the leader placed at each of the four datacenters. *)
 
-val fig7_plan : scale:float -> Runner.plan
+val fig7_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (leader, system) cell — 16 independent simulations,
     leader-major. *)
 

@@ -3,7 +3,8 @@ open Blockplane
 
 (* A deployment with one participant measures pure local commitment: no
    wide-area traffic is involved (§VIII-A runs in Virginia alone). *)
-let local_world ~fi ~seed = Runner.fresh_world ~fi ~seed ~n_participants:1 ()
+let local_world ~knobs ~fi ~seed =
+  Runner.fresh_world ~knobs ~fi ~seed ~n_participants:1 ()
 
 let commit_loop world ~size ~n ~warmup =
   let api = Deployment.api world.Runner.dep 0 in
@@ -45,8 +46,8 @@ let op_metrics ~stats_list ~occupancies =
   ]
 
 (* One task per batch size: each point gets its own world and seed. *)
-let fig4_task ~scale (kb, batches, paper_lat, paper_thr) () =
-  let world = local_world ~fi:1 ~seed:(Int64.of_int (1000 + kb)) in
+let fig4_task ~knobs ~scale (kb, batches, paper_lat, paper_thr) () =
+  let world = local_world ~knobs ~fi:1 ~seed:(Int64.of_int (1000 + kb)) in
   let n = Runner.scaled scale batches in
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:(kb * 1000) ~n ~warmup in
@@ -101,17 +102,21 @@ let fig4_merge results =
     };
   ]
 
-let fig4_plan ~scale =
+let fig4_plan ~knobs ~scale =
   Runner.Plan
-    { tasks = List.map (fun p -> fig4_task ~scale p) fig4_points; merge = fig4_merge }
+    {
+      tasks = List.map (fun p -> fig4_task ~knobs ~scale p) fig4_points;
+      merge = fig4_merge;
+    }
 
-let fig4 ?(scale = 1.0) () = Runner.run_plan (fig4_plan ~scale)
+let fig4 ?(scale = 1.0) () =
+  Runner.run_plan (fig4_plan ~knobs:Knobs.default ~scale)
 
 let table2_points =
   [ (1, "83", "1.2"); (2, "51", "1.9"); (3, "28", "3.5"); (4, "25", "4") ]
 
-let table2_task ~scale (fi, paper_thr, paper_lat) () =
-  let world = local_world ~fi ~seed:(Int64.of_int (2000 + fi)) in
+let table2_task ~knobs ~scale (fi, paper_thr, paper_lat) () =
+  let world = local_world ~knobs ~fi ~seed:(Int64.of_int (2000 + fi)) in
   let n = Runner.scaled scale 50 in
   let warmup = Stdlib.max 1 (n / 10) in
   let stats = commit_loop world ~size:100_000 ~n ~warmup in
@@ -146,14 +151,15 @@ let table2_merge results =
     };
   ]
 
-let table2_plan ~scale =
+let table2_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> table2_task ~scale p) table2_points;
+      tasks = List.map (fun p -> table2_task ~knobs ~scale p) table2_points;
       merge = table2_merge;
     }
 
-let table2 ?(scale = 1.0) () = Runner.run_plan (table2_plan ~scale)
+let table2 ?(scale = 1.0) () =
+  Runner.run_plan (table2_plan ~knobs:Knobs.default ~scale)
 
 (* ---------- pipeline-depth ablation (beyond the paper) ---------- *)
 
@@ -178,9 +184,9 @@ let verify_model_cost = Time.of_ms 0.4
    pipelining can only hide verification latency to the extent the
    verify resource keeps up, which is precisely what the companion
    ablation-verify sweep quantifies. *)
-let pipeline_task ~scale depth () =
+let pipeline_task ~knobs ~scale depth () =
   let world =
-    Runner.fresh_world ~fi:1 ~seed:(Int64.of_int (7000 + depth))
+    Runner.fresh_world ~knobs ~fi:1 ~seed:(Int64.of_int (7000 + depth))
       ~n_participants:1 ~batch_max:1 ~max_in_flight:depth
       ~verify_cost:verify_model_cost ()
   in
@@ -250,14 +256,15 @@ let pipeline_merge results =
     };
   ]
 
-let pipeline_plan ~scale =
+let pipeline_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun d -> pipeline_task ~scale d) pipeline_depths;
+      tasks = List.map (fun d -> pipeline_task ~knobs ~scale d) pipeline_depths;
       merge = pipeline_merge;
     }
 
-let pipeline ?(scale = 1.0) () = Runner.run_plan (pipeline_plan ~scale)
+let pipeline ?(scale = 1.0) () =
+  Runner.run_plan (pipeline_plan ~knobs:Knobs.default ~scale)
 
 (* ---------- verify-jobs ablation (beyond the paper) ---------- *)
 
@@ -272,9 +279,9 @@ let verify_points =
 (* Same closed-loop workload as the pipeline ablation, but the world pins
    its own verify_jobs instead of inheriting the --verify-jobs default:
    the sweep is the knob. *)
-let verify_task ~scale (jobs, depth) () =
+let verify_task ~knobs ~scale (jobs, depth) () =
   let world =
-    Runner.fresh_world ~fi:1
+    Runner.fresh_world ~knobs ~fi:1
       ~seed:(Int64.of_int (8000 + (10 * jobs) + depth))
       ~n_participants:1 ~batch_max:1 ~max_in_flight:depth
       ~verify_cost:verify_model_cost ~verify_jobs:jobs ()
@@ -347,11 +354,12 @@ let verify_merge results =
     };
   ]
 
-let verify_plan ~scale =
+let verify_plan ~knobs ~scale =
   Runner.Plan
     {
-      tasks = List.map (fun p -> verify_task ~scale p) verify_points;
+      tasks = List.map (fun p -> verify_task ~knobs ~scale p) verify_points;
       merge = verify_merge;
     }
 
-let verify_ablation ?(scale = 1.0) () = Runner.run_plan (verify_plan ~scale)
+let verify_ablation ?(scale = 1.0) () =
+  Runner.run_plan (verify_plan ~knobs:Knobs.default ~scale)

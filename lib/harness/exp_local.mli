@@ -5,18 +5,18 @@
     Table II: the same at 100 KB while varying the unit size
     n ∈ {4, 7, 10, 13} (fi 1..4). *)
 
-val fig4_plan : scale:float -> Runner.plan
+val fig4_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per batch size. *)
 
 val fig4 : ?scale:float -> unit -> Report.t list
 (** Returns the fig4a (latency) and fig4b (throughput) reports. *)
 
-val table2_plan : scale:float -> Runner.plan
+val table2_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per unit size (fi 1..4). *)
 
 val table2 : ?scale:float -> unit -> Report.t list
 
-val pipeline_plan : scale:float -> Runner.plan
+val pipeline_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** Pipeline-depth ablation (beyond the paper): closed-loop 100 KB
     commits with [batch_max = 1] at depths 1/2/4/8, one task per depth.
     Depth 1 reproduces the stop-and-wait baseline; the report's metrics
@@ -25,7 +25,7 @@ val pipeline_plan : scale:float -> Runner.plan
 
 val pipeline : ?scale:float -> unit -> Report.t list
 
-val verify_plan : scale:float -> Runner.plan
+val verify_plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** Verification-parallelism ablation (beyond the paper): the pipeline
     workload swept over a (verify_jobs, depth) grid with the modeled
     per-signature verification cost enabled — one task per grid point,

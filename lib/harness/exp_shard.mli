@@ -15,7 +15,7 @@
     [<series>_s<shards>_{achieved_rps,p99_ms,cross,aborted,timeouts,
     staged_left}]. *)
 
-val plan : scale:float -> Runner.plan
+val plan : knobs:Knobs.t -> scale:float -> Runner.plan
 (** One task per (series, shard-count) point — 20 independent worlds. *)
 
 val shard : ?scale:float -> unit -> Report.t list

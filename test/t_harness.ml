@@ -255,9 +255,11 @@ let fig4_depth1_golden =
    +~160% to 1 MB, ~+10% to 2 MB\n"
 
 let test_fig4_depth1_matches_seed () =
-  Runner.set_default_pipeline 1;
+  let knobs = { Knobs.default with pipeline = 1 } in
   let rendered =
-    String.concat "" (List.map Report.render (Exp_local.fig4 ~scale:0.08 ()))
+    String.concat ""
+      (List.map Report.render
+         (Runner.run_plan (Exp_local.fig4_plan ~knobs ~scale:0.08)))
   in
   Alcotest.(check string) "depth-1 fig4 bytes = pre-pipeline seed"
     fig4_depth1_golden rendered
@@ -327,26 +329,138 @@ let test_saturation_shape () =
     (metric "d8_top_mean_fill" < metric "d1_top_mean_fill")
 
 (* --load-rate collapses the sweep to one probed rate per series;
-   --load-trace / --skew reshape the arrival process. All three are
-   write-once knobs, restored here so later tests see the defaults. *)
+   --load-trace / --skew reshape the arrival process. *)
 let test_saturation_load_knobs () =
-  let restore () =
-    Runner.set_default_load_rate None;
-    Runner.set_default_load_shape `Poisson;
-    Runner.set_default_skew 0.99
+  let knobs =
+    { Knobs.default with load_rate = Some 20_000.0; load_shape = `Bursty; skew = 0.0 }
   in
-  Fun.protect ~finally:restore (fun () ->
-      Runner.set_default_load_rate (Some 20_000.0);
-      Runner.set_default_load_shape `Bursty;
-      Runner.set_default_skew 0.0;
-      let r =
-        find_report "ablation-saturation" (Exp_saturation.saturation ~scale:0.05 ())
-      in
-      Alcotest.(check int) "one rate x 5 series" 5 (List.length r.Report.rows);
-      List.iter
-        (fun row ->
-          Alcotest.(check string) "probed rate" "20000/s" (List.nth row 1))
-        r.Report.rows)
+  let r =
+    find_report "ablation-saturation"
+      (Runner.run_plan (Exp_saturation.plan ~knobs ~scale:0.05))
+  in
+  Alcotest.(check int) "one rate x 5 series" 5 (List.length r.Report.rows);
+  List.iter
+    (fun row -> Alcotest.(check string) "probed rate" "20000/s" (List.nth row 1))
+    r.Report.rows
+
+(* A knob value that is not a usable configuration is a usage error
+   (Cmdliner exit 124) at the flag, never an exception from deep inside
+   the first world: non-finite numbers, and a fill target above 1 whose
+   hold is missing or rounds to 0 ns. *)
+let test_knobs_reject_bad_values () =
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let parse args =
+    Cmdliner.Cmd.eval_value' ~help:null ~err:null
+      ~argv:(Array.of_list ("knobs" :: args))
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "knobs") Knobs.term)
+  in
+  List.iter
+    (fun args ->
+      match parse args with
+      | `Exit 124 -> ()
+      | `Exit code -> Alcotest.failf "%s: exit %d, not 124" (String.concat " " args) code
+      | `Ok _ -> Alcotest.failf "%s accepted" (String.concat " " args))
+    [
+      [ "--skew"; "inf" ];
+      [ "--skew"; "nan" ];
+      [ "--skew"; "-1" ];
+      [ "--load-rate"; "nan" ];
+      [ "--load-rate"; "inf" ];
+      [ "--load-rate"; "0" ];
+      [ "--batch-hold"; "inf" ];
+      [ "--batch-hold"; "nan" ];
+      [ "--batch-hold=-1" ];
+      [ "--skew=-1" ];
+      [ "--batch-min-fill"; "16" ];
+      [ "--batch-min-fill"; "16"; "--batch-hold"; "inf" ];
+      [ "--batch-min-fill"; "16"; "--batch-hold"; "nan" ];
+      [ "--batch-min-fill"; "16"; "--batch-hold"; "0" ];
+      [ "--batch-min-fill"; "16"; "--batch-hold"; "1e-7" ];
+      [ "--batch-min-fill"; "0" ];
+      [ "--pipeline"; "0" ];
+      [ "--verify-jobs"; "0" ];
+      [ "--shards"; "0" ];
+    ];
+  let accepted args expected =
+    match parse args with
+    | `Ok k -> Alcotest.(check bool) (String.concat " " args) true (k = expected)
+    | `Exit code -> Alcotest.failf "%s rejected (exit %d)" (String.concat " " args) code
+  in
+  accepted [] Knobs.default;
+  accepted
+    [
+      "--pipeline"; "3"; "--verify-jobs"; "2"; "--cluster-send"; "on";
+      "--load-trace"; "diurnal"; "--load-rate"; "5e4"; "--skew"; "0.5";
+      "--shards"; "4"; "--batch-min-fill"; "16"; "--batch-hold"; "0.25";
+      "--no-cache";
+    ]
+    {
+      Knobs.pipeline = 3;
+      verify_jobs = 2;
+      cluster_send = true;
+      load_shape = `Diurnal;
+      load_rate = Some 50_000.0;
+      skew = 0.5;
+      shards = 4;
+      batch_min_fill = Some 16;
+      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
+      cache = false;
+    };
+  (* The same rules hold for knobs built in code, where no converter
+     screens the floats. *)
+  let d = Knobs.default in
+  List.iter
+    (fun k -> Alcotest.(check bool) "invalid knobs rejected" true (Result.is_error (Knobs.validate k)))
+    [
+      { d with skew = Float.nan };
+      { d with skew = Float.infinity };
+      { d with load_rate = Some Float.nan };
+      { d with load_rate = Some Float.infinity };
+      { d with batch_min_fill = Some 16; batch_hold = Some (Bp_sim.Time.of_ms 1e-7) };
+    ]
+
+(* Run the tasks of two plans interleaved on one pool, then merge each
+   plan's results in its own task order. *)
+let run_interleaved pool (Runner.Plan a) (Runner.Plan b) =
+  let rec zip l r =
+    match (l, r) with x :: l, y :: r -> x :: y :: zip l r | rest, [] | [], rest -> rest
+  in
+  let tasks =
+    zip
+      (List.map (fun t () -> Either.Left (t ())) a.tasks)
+      (List.map (fun t () -> Either.Right (t ())) b.tasks)
+  in
+  let ra, rb = List.partition_map Fun.id (Bp_parallel.Pool.run pool tasks) in
+  (a.merge ra, b.merge rb)
+
+(* Knobs are a value, not process state: table2 under two different knob
+   sets shares one process and one 2-domain pool, and each result is
+   byte-identical to its own sequential run. *)
+let test_two_knob_sets_one_pool () =
+  let render reports = String.concat "" (List.map Report.render reports) in
+  let plan knobs = Exp_local.table2_plan ~knobs ~scale:0.2 in
+  let a = Knobs.default in
+  let b =
+    {
+      Knobs.default with
+      shards = 16;
+      pipeline = 4;
+      batch_min_fill = Some 16;
+      batch_hold = Some (Bp_sim.Time.of_ms 0.25);
+    }
+  in
+  let seq_a = render (Runner.run_plan (plan a)) in
+  let seq_b = render (Runner.run_plan (plan b)) in
+  Alcotest.(check bool) "the knob sets give different tables" false
+    (String.equal seq_a seq_b);
+  let pool = Bp_parallel.Pool.create ~jobs:2 in
+  let par_a, par_b =
+    Fun.protect
+      ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
+      (fun () -> run_interleaved pool (plan a) (plan b))
+  in
+  Alcotest.(check string) "default knobs: -j 2 interleaved = -j 1" seq_a (render par_a);
+  Alcotest.(check string) "second knob set: -j 2 interleaved = -j 1" seq_b (render par_b)
 
 let test_pipeline_ablation_shape () =
   let r = find_report "pipeline" (Exp_local.pipeline ~scale:0.3 ()) in
@@ -393,6 +507,8 @@ let suite =
         tc "ablation-load bytes = eager seed" test_ablation_load_matches_eager_seed;
         tc "saturation sweep shape" test_saturation_shape;
         tc "saturation load knobs" test_saturation_load_knobs;
+        tc "knobs reject bad values" test_knobs_reject_bad_values;
+        tc "two knob sets share one pool" test_two_knob_sets_one_pool;
         tc "runner helpers" test_runner_helpers;
         tc "experiments deterministic" test_experiments_deterministic;
         tc "experiments identical without cache"

@@ -282,19 +282,16 @@ let test_heap_occupancy () =
 (* --- saturation sweep: bit-identical at any --jobs --- *)
 
 let test_saturation_jobs_deterministic () =
-  let render_all () =
-    String.concat ""
-      (List.map Report.render (Runner.run_plan (Exp_saturation.plan ~scale:0.05)))
+  let plan () = Exp_saturation.plan ~knobs:Knobs.default ~scale:0.05 in
+  let render_all ?pool () =
+    String.concat "" (List.map Report.render (Runner.run_plan ?pool (plan ())))
   in
   let seq = render_all () in
   let pool = Bp_parallel.Pool.create ~jobs:2 in
   let par =
     Fun.protect
       ~finally:(fun () -> Bp_parallel.Pool.shutdown pool)
-      (fun () ->
-        String.concat ""
-          (List.map Report.render
-             (Runner.run_plan ~pool (Exp_saturation.plan ~scale:0.05))))
+      (fun () -> render_all ~pool ())
   in
   Alcotest.(check string) "jobs 1 == jobs 2, byte-identical" seq par
 

@@ -2,9 +2,9 @@
    commit: routing properties of hash/range maps, atomicity and
    determinism of cross-shard transactions on adversary-free schedules
    (qcheck), the abort downgrade when a participant shard rejects its
-   prepare, the Runner default knobs (clamping, composition with the
-   batch-cut policy), and the 1-shard byte-identity of the golden
-   table2 under a global --shards default. *)
+   prepare, the shard and batch knobs (validation, clamping,
+   composition with the batch-cut policy), and the 1-shard byte-identity
+   of the golden table2 under any --shards knob. *)
 
 open Bp_sim
 open Blockplane
@@ -255,60 +255,56 @@ let atomic_deterministic =
       let done2, aborted2, st2, states2 = run_schedule sched in
       done1 = done2 && aborted1 = aborted2 && st1 = st2 && states1 = states2)
 
-(* --- Runner default knobs: validation, clamping, composition --- *)
+(* --- Knobs: validation, clamping, composition --- *)
 
 let test_runner_knobs () =
+  let module Knobs = Bp_harness.Knobs in
   let raises f = try f () |> ignore; false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "shards 0 rejected" true
-    (raises (fun () -> Bp_harness.Runner.set_default_shards 0));
+  let rejected k = Result.is_error (Knobs.validate k) in
+  let d = Knobs.default in
+  Alcotest.(check bool) "shards 0 rejected" true (rejected { d with shards = 0 });
   Alcotest.(check bool) "min-fill 0 rejected" true
-    (raises (fun () -> Bp_harness.Runner.set_default_batch_min_fill (Some 0)));
+    (rejected { d with batch_min_fill = Some 0 });
+  (* No knob can carry a negative hold: Time.t refuses to be one. *)
   Alcotest.(check bool) "negative hold rejected" true
+    (raises (fun () -> { d with batch_hold = Some (Time.of_ms (-1.0)) }));
+  (* The knob's shard count clamps to small fixed worlds... *)
+  let knobs = { d with shards = 3 } in
+  let w = Bp_harness.Runner.fresh_world ~knobs ~n_participants:2 () in
+  Alcotest.(check int) "default shards clamped to participants" 2
+    (Shard.shards (Deployment.shard_map w.Bp_harness.Runner.dep));
+  (* ...an explicit per-world shard count never clamps. *)
+  Alcotest.(check bool) "explicit shards > participants rejected" true
     (raises (fun () ->
-         Bp_harness.Runner.set_default_batch_hold (Some (Time.of_ms (-1.0)))));
-  let restore () =
-    Bp_harness.Runner.set_default_shards 1;
-    Bp_harness.Runner.set_default_batch_min_fill None;
-    Bp_harness.Runner.set_default_batch_hold None
+         Bp_harness.Runner.fresh_world ~knobs ~shards:8 ~n_participants:4 ()));
+  (* Batch knobs compose: the knob pair is valid together, and an
+     explicit min-fill composes with the knob's hold instead of
+     resetting it (1 + hold is a valid pair; 16 + zero would not be). *)
+  let knobs =
+    { d with batch_min_fill = Some 16; batch_hold = Some (Time.of_ms 0.25) }
   in
-  Fun.protect ~finally:restore (fun () ->
-      (* The default shard count clamps to small fixed worlds... *)
-      Bp_harness.Runner.set_default_shards 3;
-      let w = Bp_harness.Runner.fresh_world ~n_participants:2 () in
-      Alcotest.(check int) "default shards clamped to participants" 2
-        (Shard.shards (Deployment.shard_map w.Bp_harness.Runner.dep));
-      (* ...an explicit per-world shard count never clamps. *)
-      Alcotest.(check bool) "explicit shards > participants rejected" true
-        (raises (fun () ->
-             Bp_harness.Runner.fresh_world ~shards:8 ~n_participants:4 ()));
-      (* Batch knobs compose: the default pair is valid together, and an
-         explicit min-fill composes with the default hold instead of
-         resetting it (1 + hold is a valid pair; 16 + zero would not be). *)
-      Bp_harness.Runner.set_default_batch_min_fill (Some 16);
-      Bp_harness.Runner.set_default_batch_hold (Some (Time.of_ms 0.25));
-      let w = Bp_harness.Runner.fresh_world ~n_participants:1 () in
-      let api = Deployment.api w.Bp_harness.Runner.dep 0 in
-      let ok = ref false in
-      Api.log_commit api "knob-probe" ~on_done:(fun () -> ok := true);
-      Engine.run ~until:(Time.of_sec 2.0) w.Bp_harness.Runner.engine;
-      Alcotest.(check bool) "world under composed defaults commits" true !ok;
-      let w2 =
-        Bp_harness.Runner.fresh_world ~batch_min_fill:1 ~n_participants:1 ()
-      in
-      ignore w2);
-  (* With the defaults restored, an explicit min-fill above 1 and no hold
+  Alcotest.(check bool) "composed knob pair valid" false (rejected knobs);
+  let w = Bp_harness.Runner.fresh_world ~knobs ~n_participants:1 () in
+  let api = Deployment.api w.Bp_harness.Runner.dep 0 in
+  let ok = ref false in
+  Api.log_commit api "knob-probe" ~on_done:(fun () -> ok := true);
+  Engine.run ~until:(Time.of_sec 2.0) w.Bp_harness.Runner.engine;
+  Alcotest.(check bool) "world under composed knobs commits" true !ok;
+  ignore
+    (Bp_harness.Runner.fresh_world ~knobs ~batch_min_fill:1 ~n_participants:1 ());
+  (* At the default knobs, an explicit min-fill above 1 and no hold
      anywhere is the invalid pair — Config.make must see the COMPOSED
      pair and reject it. *)
   Alcotest.(check bool) "min-fill without any hold rejected" true
     (raises (fun () ->
          Bp_harness.Runner.fresh_world ~batch_min_fill:4 ~n_participants:1 ()))
 
-(* --- 1-shard byte-identity: golden table2 under a global --shards --- *)
+(* --- 1-shard byte-identity: golden table2 under any --shards knob --- *)
 
 (* Captured from the seed tree at scale 0.2 (the shape test's scale).
-   table2 builds 1-participant worlds, so any global --shards default
-   clamps to one shard and the router installs nothing: these bytes must
-   not move at ANY --shards value. A diff here means the shard layer
+   table2 builds 1-participant worlds, so any --shards knob clamps to
+   one shard and the router installs nothing: these bytes must not move
+   at ANY --shards value. A diff here means the shard layer
    leaked into unsharded worlds — a bug, not a table to re-pin. *)
 let table2_golden =
   "== table2: Local commitment vs unit size (batch 100 KB) ==\n\
@@ -324,19 +320,17 @@ let table2_golden =
    \   note: expected shape: throughput falls and latency rises with n\n"
 
 let test_table2_golden_any_shards () =
-  let render () =
+  let render knobs =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Exp_local.table2 ~scale:0.2 ()))
+         (Bp_harness.Runner.run_plan
+            (Bp_harness.Exp_local.table2_plan ~knobs ~scale:0.2)))
   in
+  let d = Bp_harness.Knobs.default in
   Alcotest.(check string) "table2 bytes at default shards" table2_golden
-    (render ());
-  Fun.protect
-    ~finally:(fun () -> Bp_harness.Runner.set_default_shards 1)
-    (fun () ->
-      Bp_harness.Runner.set_default_shards 16;
-      Alcotest.(check string) "table2 bytes under --shards 16" table2_golden
-        (render ()))
+    (render d);
+  Alcotest.(check string) "table2 bytes under --shards 16" table2_golden
+    (render { d with shards = 16 })
 
 (* --- the shard sweep is bit-identical at any --jobs --- *)
 
@@ -344,7 +338,8 @@ let test_shard_sweep_jobs_deterministic () =
   let render_all pool =
     String.concat ""
       (List.map Bp_harness.Report.render
-         (Bp_harness.Runner.run_plan ?pool (Bp_harness.Exp_shard.plan ~scale:0.01)))
+         (Bp_harness.Runner.run_plan ?pool
+            (Bp_harness.Exp_shard.plan ~knobs:Bp_harness.Knobs.default ~scale:0.01)))
   in
   let seq = render_all None in
   let pool = Bp_parallel.Pool.create ~jobs:2 in
