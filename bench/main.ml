@@ -80,6 +80,7 @@ let run_paper_benches ?pool ~jobs ~knobs experiments =
   Printf.printf "Blockplane (ICDE 2019) - evaluation reproduction\n";
   Printf.printf "scale=%.2f (set BP_BENCH_SCALE to adjust)\n" scale;
   Printf.printf "jobs=%d (--jobs N; results are identical at any N)\n" jobs;
+  Printf.printf "sha256 kernel %s (wall times depend on it)\n" (Bp_crypto.Sha256.kernel ());
   (* The knobs every world without its own value runs under, as they
      appear in the JSON header; see --help for each flag. *)
   List.iter (fun (k, v) -> Printf.printf "%s=%s\n" k v) (Bp_harness.Knobs.fields knobs);
@@ -132,34 +133,7 @@ let micro_tests () =
         })
   in
   let bmemo = Verify_cache.memo () in
-  (* Batch-verification rows: the same job list through a sequential
-     (jobs 1) and a fanned (jobs 4) Verify_batch context — their gap is
-     the real wall-clock win of the domain-pool crypto path. Hash-based
-     signatures make the keyed rows compute-bound (HMAC verifies are too
-     cheap to amortize a fan-out); no cache, so every call re-verifies. *)
-  let bb_keystore = Signer.create ~scheme:`Hash_based (Bp_util.Rng.split rng) in
-  let bb_signer = "bench/batch" in
-  Signer.add_identity bb_keystore bb_signer;
-  let bb_jobs16 =
-    List.init 16 (fun i ->
-        let msg = Printf.sprintf "batch-msg-%d" i in
-        Verify_batch.Keyed
-          { signer = bb_signer; msg; signature = Signer.sign bb_keystore ~signer:bb_signer msg })
-  in
-  let lamport_jobs8 =
-    List.init 8 (fun i ->
-        let sk, pk = Lamport.keygen rng in
-        let msg = Printf.sprintf "lamport-msg-%d" i in
-        Verify_batch.Lamport { key = pk; msg; signature = Lamport.sign sk msg })
-  in
-  let vb_seq = Verify_batch.create ~jobs:1 () in
-  let vb_par = Verify_batch.create ~jobs:4 () in
-  let cleanup () =
-    Verify_batch.shutdown vb_par;
-    Verify_batch.shutdown vb_seq
-  in
-  ( cleanup,
-    [
+  [
     Test.make ~name:"sha256 (1 KiB)"
       (Staged.stage (fun () -> Sha256.digest payload_1k));
     Test.make ~name:"sha256 (64 KiB)"
@@ -198,18 +172,6 @@ let micro_tests () =
           fun () -> Merkle.root leaves));
     Test.make ~name:"lamport verify"
       (Staged.stage (fun () -> Lamport.verify lamport_pk "msg" lamport_sig));
-    Test.make ~name:"batch verify 16 sigs, jobs 1"
-      (Staged.stage (fun () ->
-           Verify_batch.verify ~keystore:bb_keystore vb_seq bb_jobs16));
-    Test.make ~name:"batch verify 16 sigs, jobs 4"
-      (Staged.stage (fun () ->
-           Verify_batch.verify ~keystore:bb_keystore vb_par bb_jobs16));
-    Test.make ~name:"lamport batch verify 8, jobs 1"
-      (Staged.stage (fun () ->
-           Verify_batch.verify ~keystore:bb_keystore vb_seq lamport_jobs8));
-    Test.make ~name:"lamport batch verify 8, jobs 4"
-      (Staged.stage (fun () ->
-           Verify_batch.verify ~keystore:bb_keystore vb_par lamport_jobs8));
     Test.make ~name:"verify hit (1 KiB, cached)"
       (Staged.stage (fun () ->
            Verify_cache.verify vcache ~signer:vsigner ~msg:payload_1k
@@ -258,11 +220,59 @@ let micro_tests () =
            Bp_sim.Engine.run ~until:(Bp_sim.Time.of_sec 1.0)
              world.Bp_harness.Runner.engine;
            assert !ok));
-  ] )
+  ]
+
+(* Batch-verification rows: the same job list through a sequential
+   (jobs 1) and a fanned (jobs 4) Verify_batch context — their gap is
+   the real wall-clock win of the domain-pool crypto path. Hash-based
+   signatures make the keyed rows compute-bound (HMAC verifies are too
+   cheap to amortize a fan-out); no cache, so every call re-verifies.
+   The four workers exist only while these rows run: an idle domain
+   taxes every minor GC of the other rows. *)
+let batch_micro_tests () =
+  let open Bp_crypto in
+  let rng = Bp_util.Rng.create 7L in
+  let bb_keystore = Signer.create ~scheme:`Hash_based (Bp_util.Rng.split rng) in
+  let bb_signer = "bench/batch" in
+  Signer.add_identity bb_keystore bb_signer;
+  let bb_jobs16 =
+    List.init 16 (fun i ->
+        let msg = Printf.sprintf "batch-msg-%d" i in
+        Verify_batch.Keyed
+          { signer = bb_signer; msg; signature = Signer.sign bb_keystore ~signer:bb_signer msg })
+  in
+  let lamport_jobs8 =
+    List.init 8 (fun i ->
+        let sk, pk = Lamport.keygen rng in
+        let msg = Printf.sprintf "lamport-msg-%d" i in
+        Verify_batch.Lamport { key = pk; msg; signature = Lamport.sign sk msg })
+  in
+  let vb_seq = Verify_batch.create ~jobs:1 () in
+  let vb_par = Verify_batch.create ~jobs:4 () in
+  let cleanup () =
+    Verify_batch.shutdown vb_par;
+    Verify_batch.shutdown vb_seq
+  in
+  ( cleanup,
+    [
+    Test.make ~name:"batch verify 16 sigs, jobs 1"
+      (Staged.stage (fun () ->
+           Verify_batch.verify ~keystore:bb_keystore vb_seq bb_jobs16));
+    Test.make ~name:"batch verify 16 sigs, jobs 4"
+      (Staged.stage (fun () ->
+           Verify_batch.verify ~keystore:bb_keystore vb_par bb_jobs16));
+    Test.make ~name:"lamport batch verify 8, jobs 1"
+      (Staged.stage (fun () ->
+           Verify_batch.verify ~keystore:bb_keystore vb_seq lamport_jobs8));
+    Test.make ~name:"lamport batch verify 8, jobs 4"
+      (Staged.stage (fun () ->
+           Verify_batch.verify ~keystore:bb_keystore vb_par lamport_jobs8));
+    ] )
 
 let run_micro () =
   Printf.printf "\n=====================================================\n";
-  Printf.printf "Micro-benchmarks (Bechamel; real CPU time per call)\n";
+  Printf.printf "Micro-benchmarks (Bechamel; real CPU time per call; sha256 kernel %s)\n"
+    (Bp_crypto.Sha256.kernel ());
   Printf.printf "=====================================================\n";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Instance.monotonic_clock ] in
@@ -270,22 +280,25 @@ let run_micro () =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let rows = ref [] in
-  let cleanup, tests = micro_tests () in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (ns :: _) ->
-              if ns < 1e4 then Printf.printf "%-42s %10.0f ns/op\n" name ns
-              else Printf.printf "%-42s %10.1f us/op\n" name (ns /. 1e3);
-              rows := (name, ns) :: !rows
-          | _ -> Printf.printf "%-42s (no estimate)\n" name)
-        analyzed)
-    tests;
+  let measure tests =
+    List.iter
+      (fun test ->
+        let results = Benchmark.all cfg instances test in
+        let analyzed = Analyze.all ols Instance.monotonic_clock results in
+        Hashtbl.iter
+          (fun name ols_result ->
+            match Analyze.OLS.estimates ols_result with
+            | Some (ns :: _) ->
+                if ns < 1e4 then Printf.printf "%-42s %10.0f ns/op\n" name ns
+                else Printf.printf "%-42s %10.1f us/op\n" name (ns /. 1e3);
+                rows := (name, ns) :: !rows
+            | _ -> Printf.printf "%-42s (no estimate)\n" name)
+          analyzed)
+      tests
+  in
+  measure (micro_tests ());
+  (let cleanup, tests = batch_micro_tests () in
+   Fun.protect ~finally:cleanup (fun () -> measure tests));
   Printf.printf "%!";
   List.rev !rows
 
@@ -483,12 +496,16 @@ let main jobs knobs json_path baseline_path targets =
       (fun e -> targets = [] || List.mem e.Bp_harness.Experiments.id targets)
       Bp_harness.Experiments.all
   in
-  Bp_harness.Knobs.with_runtime ~jobs knobs @@ fun pool ->
   let experiments =
+    Bp_harness.Knobs.with_runtime ~jobs knobs @@ fun pool ->
     match experiments with
     | [] -> []
     | es -> run_paper_benches ?pool ~jobs ~knobs es
   in
+  (* The micros run once [with_runtime] has joined the --jobs pool and
+     the batch-verify workers, so no idle domain taxes their minor GCs.
+     The cache switch it applied stays set: --no-cache still degrades
+     the verify rows. *)
   let micro = if micro then run_micro () else [] in
   match json_path with
   | None -> ()

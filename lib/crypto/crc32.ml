@@ -75,57 +75,50 @@ let bytes buf ~off ~len = update empty buf ~off ~len
 
 let string s = bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-(* CRC combination over GF(2): crc(A ++ B) from crc(A), crc(B) and |B|.
-   Shifting crc(A) through |B| zero bytes is a linear map, represented as
-   a 32x32 bit matrix; squaring the "shift one zero byte * 2^k" matrices
-   walks the bits of |B|. This is the classic zlib crc32_combine
-   construction, valid here because the checksum above uses zlib's exact
-   reflected polynomial, init and final xor. *)
+(* CRC combination: crc(A ++ B) from crc(A), crc(B) and |B|, zlib
+   1.2.12's construction (valid here because the checksum above uses
+   zlib's exact reflected polynomial, init and final xor). Shifting
+   crc(A) through |B| zero bytes multiplies it by x^(8|B|) modulo the
+   polynomial; that power is a product of table entries x^(2^k), one per
+   set bit of 8|B|. Everything is a reflected 32-bit int: bit 31 is x^0. *)
 
-let gf2_times mat vec =
-  let sum = ref 0 and v = ref vec and n = ref 0 in
-  while !v <> 0 do
-    if !v land 1 <> 0 then sum := !sum lxor Array.unsafe_get mat !n;
-    v := !v lsr 1;
-    incr n
+(* [multmodp a b] = a(x) * b(x) mod p(x). Stops after [a]'s lowest set
+   term, so [a] must be non-zero; every power of x is. *)
+let multmodp a b =
+  let m = ref (1 lsl 31) and p = ref 0 and b = ref b and running = ref true in
+  while !running do
+    if a land !m <> 0 then begin
+      p := !p lxor !b;
+      if a land (!m - 1) = 0 then running := false
+    end;
+    m := !m lsr 1;
+    b := if !b land 1 <> 0 then (!b lsr 1) lxor 0xedb88320 else !b lsr 1
   done;
-  !sum
+  !p
 
-let gf2_square sq mat =
-  for n = 0 to 31 do
-    sq.(n) <- gf2_times mat mat.(n)
-  done
+(* x2n_table.(k) = x^(2^k) mod p(x). The multiplicative order of x
+   divides 2^32 - 1, so the exponents cycle with period 32. *)
+let x2n_table =
+  let t = Array.make 32 0 in
+  t.(0) <- 1 lsl 30;
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n * 2^k) mod p(x). *)
+let x2nmodp n k =
+  let p = ref (1 lsl 31) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 <> 0 then p := multmodp (Array.unsafe_get x2n_table (!k land 31)) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
 
 let combine crc1 crc2 len2 =
   if len2 <= 0 then crc1
-  else begin
-    let even = Array.make 32 0 and odd = Array.make 32 0 in
-    (* odd = the operator "apply one zero byte": polynomial row then the
-       32 single-bit shift rows. *)
-    odd.(0) <- 0xedb88320;
-    let row = ref 1 in
-    for n = 1 to 31 do
-      odd.(n) <- !row;
-      row := !row lsl 1
-    done;
-    (* even = zeros^2, odd = zeros^4: the loop below starts at zeros^8,
-       one squaring per bit of len2. *)
-    gf2_square even odd;
-    gf2_square odd even;
-    let crc = ref (Int32.to_int crc1 land 0xffffffff) in
-    let len = ref len2 in
-    let running = ref true in
-    while !running do
-      gf2_square even odd;
-      if !len land 1 <> 0 then crc := gf2_times even !crc;
-      len := !len lsr 1;
-      if !len = 0 then running := false
-      else begin
-        gf2_square odd even;
-        if !len land 1 <> 0 then crc := gf2_times odd !crc;
-        len := !len lsr 1;
-        if !len = 0 then running := false
-      end
-    done;
-    Int32.of_int ((!crc lxor (Int32.to_int crc2 land 0xffffffff)) land 0xffffffff)
-  end
+  else
+    Int32.of_int
+      (multmodp (x2nmodp len2 3) (Int32.to_int crc1 land 0xffffffff)
+      lxor (Int32.to_int crc2 land 0xffffffff))

@@ -16,6 +16,6 @@ val empty : int32
 val combine : int32 -> int32 -> int -> int32
 (** [combine crc1 crc2 len2] is the CRC of the concatenation [a ^ b] given
     [crc1 = crc a], [crc2 = crc b] and [len2 = String.length b], without
-    touching the bytes of either. O(32^2 * log len2); the framing layer
+    touching the bytes of either. O(32 * log len2), allocation-free; the framing layer
     uses it to reuse one precomputed payload CRC across many per-recipient
     frames whose headers differ. *)

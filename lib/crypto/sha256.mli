@@ -1,13 +1,23 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4).
 
     Used for log digests, Merkle trees, HMAC and the hash-based signature
-    schemes. The implementation processes 64-byte blocks over an
-    incremental context, so large batches can be hashed without copying. *)
+    schemes. Buffering and padding are OCaml over an incremental context;
+    the 64-byte block compression is one C call per run of whole blocks.
+    Two C kernels compute it: the x86-64 SHA extensions (SHA-NI) where
+    CPUID reports them with SSE4.1 and SSSE3, checked once when the
+    library loads, and portable C everywhere else. Both give identical
+    digests; {!kernel} names the one in use. There is no flag, build
+    option or environment variable that selects a kernel. *)
 
 type ctx
 (** Mutable hashing context. *)
 
 val init : unit -> ctx
+
+val copy : ctx -> ctx
+(** An independent context in the same state: what was absorbed so far
+    is shared, later updates are not. HMAC keeps its padded-key
+    midstates this way. *)
 
 val update : ctx -> string -> unit
 (** Absorb the whole string. *)
@@ -28,3 +38,15 @@ val hex : string -> string
 
 val digest_length : int
 (** 32. *)
+
+val kernel : unit -> string
+(** ["sha-ni"] or ["portable"]: the compression kernel {!init} contexts
+    use on this host. *)
+
+(**/**)
+
+module For_testing : sig
+  val init_portable : unit -> ctx
+  (** A context that always compresses with the portable C kernel, so
+      tests on an SHA-NI host can check it against the reference. *)
+end

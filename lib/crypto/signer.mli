@@ -36,7 +36,7 @@ val verify : t -> signer:string -> msg:string -> signature:string -> bool
 (** [false] for unknown identities or invalid signatures (never raises).
     Equivalent to {!verify_key} over {!snapshot}. *)
 
-type key = Hmac_key of string | Hash_roots of string list
+type key = Hmac_key of Hmac.key | Hash_roots of string list
 (** An immutable snapshot of one identity's verification state. Unlike
     the keystore itself — whose hash-based root lists grow on one-time
     pool rollover — a [key] never changes after {!snapshot} returns it,

@@ -150,10 +150,20 @@ let diff_batch_digest_test =
       && String.equal direct again)
 
 (* CRC32 combination (used to seal broadcast frames without re-scanning
-   the shared payload once per destination) against the direct scan. *)
+   the shared payload once per destination) against the direct scan, at
+   second-half lengths that set no, one and many bits of |B| (up to
+   2^20+3), including an empty first half. *)
 let diff_crc_combine_test =
+  let gen =
+    let open QCheck.Gen in
+    let* a = oneof [ return ""; string_size (0 -- 300) ] in
+    let* len2 = oneof [ oneofl [ 0; 1; 63; 64; (1 lsl 20) + 3 ]; 0 -- 4096 ] in
+    let* b = string_size (return len2) in
+    return (a, b)
+  in
   QCheck.Test.make ~name:"Crc32.combine = crc of concatenation" ~count:500
-    QCheck.(pair (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300)))
+    (QCheck.make gen ~print:(fun (a, b) ->
+         Printf.sprintf "|a|=%d |b|=%d" (String.length a) (String.length b)))
     (fun (a, b) ->
       let direct = Crc32.string (a ^ b) in
       let combined =

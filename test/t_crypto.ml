@@ -84,13 +84,13 @@ let test_hmac_long_key () =
 
 let test_hmac_verify () =
   let tag = Hmac.sha256 ~key:"k" "m" in
-  Alcotest.(check bool) "accepts" true (Hmac.verify ~key:"k" ~msg:"m" ~tag);
-  Alcotest.(check bool) "rejects wrong msg" false
-    (Hmac.verify ~key:"k" ~msg:"m2" ~tag);
+  let k = Hmac.key "k" in
+  Alcotest.(check bool) "accepts" true (Hmac.verify k ~msg:"m" ~tag);
+  Alcotest.(check bool) "rejects wrong msg" false (Hmac.verify k ~msg:"m2" ~tag);
   Alcotest.(check bool) "rejects wrong key" false
-    (Hmac.verify ~key:"k2" ~msg:"m" ~tag);
+    (Hmac.verify (Hmac.key "k2") ~msg:"m" ~tag);
   Alcotest.(check bool) "rejects truncated tag" false
-    (Hmac.verify ~key:"k" ~msg:"m" ~tag:(String.sub tag 0 16))
+    (Hmac.verify k ~msg:"m" ~tag:(String.sub tag 0 16))
 
 let test_crc32_vectors () =
   Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.string "123456789");
@@ -254,8 +254,8 @@ let test_signer_idempotent_registration () =
     (Signer.verify ks ~signer:"x" ~msg:"m" ~signature:s)
 
 (* ---------- differential tests against retained references ----------
-   Sha256_ref is the pre-optimization Int32 implementation, kept verbatim
-   as an oracle. Crc32 is checked against a straightforward bitwise
+   Sha256_ref (test/oracle) is the original Int32 implementation, kept
+   verbatim as an oracle. Crc32 is checked against a straightforward bitwise
    (table-free) evaluation of the same reflected polynomial. *)
 
 let test_sha256_ref_vectors () =
@@ -291,6 +291,69 @@ let qcheck_sha256_incremental_differential =
       Sha256_ref.update rctx b;
       Sha256.finalize ctx = Sha256_ref.finalize rctx)
 
+(* Both C kernels against the reference. [Sha256.init] runs the kernel
+   this host selected (SHA-NI where the CPU has it); the test-only
+   [init_portable] always runs the portable one. Each case hashes a
+   window of [len] bytes starting at an unaligned offset, fed as random
+   chunks that alternate between [update] on a copy and [update_bytes]
+   straight from the window. *)
+let kernels =
+  [ ("default", Sha256.init); ("portable", Sha256.For_testing.init_portable) ]
+
+let boundary_lengths = [ 0; 55; 56; 63; 64; 65; 119; 120 ]
+
+let kernel_case =
+  let open QCheck.Gen in
+  let gen =
+    let* len = oneof [ oneofl boundary_lengths; 0 -- 4160 ] in
+    let* pre = 0 -- 7 in
+    let* post = 0 -- 7 in
+    let* data = string_size (return (pre + len + post)) in
+    let* cuts = list_size (0 -- 4) (0 -- len) in
+    return (data, pre, len, List.sort_uniq compare cuts)
+  in
+  QCheck.make gen ~print:(fun (data, pre, len, cuts) ->
+      Printf.sprintf "size=%d off=%d len=%d cuts=[%s]" (String.length data) pre
+        len (String.concat ";" (List.map string_of_int cuts)))
+
+let hash_window init (data, pre, len, cuts) =
+  let ctx = init () and src = Bytes.unsafe_of_string data in
+  let feed i (a, b) =
+    if i land 1 = 0 then Sha256.update ctx (String.sub data (pre + a) (b - a))
+    else Sha256.update_bytes ctx src ~off:(pre + a) ~len:(b - a)
+  in
+  let bounds = (0 :: cuts) @ [ len ] in
+  let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
+  List.iteri feed (pairs bounds);
+  Sha256.finalize ctx
+
+let qcheck_sha256_kernels =
+  QCheck.Test.make ~name:"sha256 kernels = reference (lengths 0-4160, splits)"
+    ~count:300 kernel_case (fun ((data, pre, len, _) as case) ->
+      let want = Sha256_ref.digest (String.sub data pre len) in
+      List.for_all (fun (_, init) -> String.equal (hash_window init case) want) kernels)
+
+(* Two pool domains hash at once, through both kernels and through one
+   shared HMAC key, and must give the sequential answers: the stub keeps
+   no state between calls and a key is never mutated. *)
+let test_sha256_concurrent_domains () =
+  let key = Hmac.key "shared across domains" in
+  let task i () =
+    List.init 40 (fun j ->
+        let s = String.init ((i * 97) + (j * 13)) (fun k -> Char.chr ((i + j + k) land 0xff)) in
+        let ctx = Sha256.For_testing.init_portable () in
+        Sha256.update ctx s;
+        (Sha256.digest s, Sha256.finalize ctx, Hmac.mac key s))
+  in
+  let tasks = List.init 8 task in
+  let sequential = List.map (fun f -> f ()) tasks in
+  let pool = Bp_parallel.Pool.create ~jobs:2 in
+  let parallel =
+    Fun.protect ~finally:(fun () -> Bp_parallel.Pool.shutdown pool) (fun () ->
+        Bp_parallel.Pool.run pool tasks)
+  in
+  Alcotest.(check bool) "parallel = sequential" true (parallel = sequential)
+
 let crc32_bitwise s =
   let crc = ref 0xffffffff in
   String.iter
@@ -311,6 +374,31 @@ let qcheck_sha256_deterministic =
   QCheck.Test.make ~name:"sha256 deterministic & 32 bytes" ~count:300
     QCheck.(string_of_size Gen.(0 -- 200))
     (fun s -> Sha256.digest s = Sha256.digest s && String.length (Sha256.digest s) = 32)
+
+(* HMAC from its RFC 2104 definition over the reference hash. *)
+let hmac_ref ~key msg =
+  let key = if String.length key > 64 then Sha256_ref.digest key else key in
+  let pad byte =
+    String.init 64 (fun i ->
+        let c = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (c lxor byte))
+  in
+  Sha256_ref.digest (pad 0x5c ^ Sha256_ref.digest (pad 0x36 ^ msg))
+
+let test_hmac_precomputed_key () =
+  for n = 0 to 130 do
+    let secret = String.init n (fun i -> Char.chr (((i * 7) + n) land 0xff)) in
+    let k = Hmac.key secret in
+    List.iter
+      (fun len ->
+        let msg = String.make len 'm' in
+        let tag = Hmac.mac k msg in
+        Alcotest.(check string) (Printf.sprintf "key %d msg %d = sha256" n len)
+          (Hmac.sha256 ~key:secret msg) tag;
+        Alcotest.(check string) (Printf.sprintf "key %d msg %d = rfc" n len)
+          (hmac_ref ~key:secret msg) tag)
+      [ 0; 1; 55; 64; 200 ]
+  done
 
 let qcheck_hmac_key_separation =
   QCheck.Test.make ~name:"hmac distinct keys give distinct tags" ~count:200
@@ -340,12 +428,15 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_sha256_deterministic;
         QCheck_alcotest.to_alcotest qcheck_sha256_differential;
         QCheck_alcotest.to_alcotest qcheck_sha256_incremental_differential;
+        QCheck_alcotest.to_alcotest qcheck_sha256_kernels;
+        tc "concurrent domains = sequential" test_sha256_concurrent_domains;
       ] );
     ( "crypto.hmac",
       [
         tc "RFC 4231 vectors" test_hmac_rfc4231;
         tc "long key" test_hmac_long_key;
         tc "verify accepts/rejects" test_hmac_verify;
+        tc "precomputed key = one-shot = RFC" test_hmac_precomputed_key;
         QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
       ] );
     ( "crypto.crc32",
